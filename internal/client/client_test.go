@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"bespokv/internal/rpc"
 	"bespokv/internal/topology"
 	"bespokv/internal/transport"
 	"bespokv/internal/wire"
@@ -126,6 +127,71 @@ func TestClientFollowsRedirect(t *testing.T) {
 	}
 	if served.Load() == 0 {
 		t.Fatal("redirect target never reached")
+	}
+}
+
+// TestRepeatedRedirectRefreshesMap reproduces a lagging-map redirect loop
+// deterministically. The client's map names a, and a and b, both on stale
+// maps, bounce the op between each other until each has served more
+// redirects than the client has Retries; the coordinator's map already
+// names the real head. Following every redirect immediately burns all
+// Retries on the bounce; a repeated redirect must instead refresh the map
+// (and back off) and so land on the head.
+func TestRepeatedRedirectRefreshesMap(t *testing.T) {
+	const retries = 4
+	var headServed, redirects atomic.Int64
+	head := fakeServer(t, func(req *wire.Request, resp *wire.Response) {
+		headServed.Add(1)
+		resp.Status = wire.StatusOK
+		resp.Value = []byte("from-head")
+	})
+	var a, b string
+	lagging := func(peer *string) func(req *wire.Request, resp *wire.Response) {
+		return func(req *wire.Request, resp *wire.Response) {
+			if redirects.Add(1) > retries {
+				resp.Status = wire.StatusOK // caught up, but too late
+				resp.Value = []byte("from-lagging")
+				return
+			}
+			resp.Status = wire.StatusRedirect
+			resp.Err = *peer
+		}
+	}
+	a = fakeServer(t, lagging(&b))
+	b = fakeServer(t, lagging(&a))
+
+	net, _ := transport.Lookup("inproc")
+	var current atomic.Pointer[topology.Map]
+	current.Store(staticMapTo(a))
+	coord := rpc.NewServer()
+	rpc.HandleFunc(coord, "GetMap", func(struct{}) (*topology.Map, error) { return current.Load(), nil })
+	coordAddr, err := coord.Serve(net, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Close() })
+	codec, _ := wire.LookupCodec("binary")
+	c, err := New(Config{
+		Network: net, Codec: codec, CoordinatorAddr: coordAddr,
+		DisableWatch: true, Retries: retries, Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	fresh := staticMapTo(head)
+	fresh.Epoch = 2
+	current.Store(fresh) // the cluster moved on; the client has not heard
+
+	v, ok, err := c.Get("", []byte("k"))
+	if err != nil || !ok || string(v) != "from-head" {
+		t.Fatalf("(%q,%v,%v), want the head's answer after a map refresh", v, ok, err)
+	}
+	if got := redirects.Load(); got != 2 {
+		t.Fatalf("%d redirects served, want 2 (one followed, one refreshing)", got)
+	}
+	if headServed.Load() != 1 {
+		t.Fatalf("head served %d requests, want 1", headServed.Load())
 	}
 }
 

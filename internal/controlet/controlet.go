@@ -636,10 +636,10 @@ func (s *Server) fenced() bool {
 }
 
 // heartbeatLoop reports liveness (including the local datalet's) to the
-// coordinator and pulls fresher maps when the epoch moves. The connection
-// is re-dialed whenever it goes bad — a controlet that survives a partition
-// must be able to resume heartbeating (and unfence) after the heal, which a
-// dial-once loop cannot do.
+// coordinator and pulls fresher maps when the epoch moves. Only a failed
+// first dial is retried here: after that the coordinator client re-dials
+// on its own, so a controlet that survives a partition resumes
+// heartbeating (and unfences) after the heal.
 func (s *Server) heartbeatLoop() {
 	defer s.wg.Done()
 	// A heartbeat that outlives its interval is useless; cap how long the
@@ -655,7 +655,6 @@ func (s *Server) heartbeatLoop() {
 			coordClient.Close()
 		}
 	}()
-	fails := 0
 	ticker := time.NewTicker(s.cfg.HeartbeatInterval)
 	defer ticker.Stop()
 	for {
@@ -672,22 +671,14 @@ func (s *Server) heartbeatLoop() {
 			}
 			cc.SetCallTimeout(callTimeout)
 			coordClient = cc
-			fails = 0
 		}
 		dataletOK := s.local.Get().Ping() == nil
 		ctlHeartbeats.Inc()
 		epoch, err := coordClient.Heartbeat(s.cfg.NodeID, dataletOK)
 		if err != nil {
 			ctlHeartbeatErrs.Inc()
-			if fails++; fails >= 2 {
-				// The conn is likely dead (partition, coordinator
-				// restart); drop it and re-dial next tick.
-				coordClient.Close()
-				coordClient = nil
-			}
 			continue
 		}
-		fails = 0
 		s.lastBeat.Store(time.Now().UnixNano())
 		cur := s.Map()
 		if cur == nil || epoch > cur.Epoch {

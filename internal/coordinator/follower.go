@@ -115,50 +115,55 @@ func (f *Follower) handleWatchMap(args WatchArgs) (*topology.Map, error) {
 	}
 }
 
-// mirror long-polls the leader and installs newer maps.
+// mirror long-polls the leader and installs newer maps. The leader client
+// re-dials on its own, so only a failed first dial is retried here.
 func (f *Follower) mirror() {
 	defer f.wg.Done()
+	leader, err := DialCoordinator(f.cfg.Network, f.cfg.LeaderAddr)
+	for err != nil {
+		if !f.pause() {
+			return
+		}
+		leader, err = DialCoordinator(f.cfg.Network, f.cfg.LeaderAddr)
+	}
+	defer leader.Close()
 	for {
 		select {
 		case <-f.stopCh:
 			return
 		default:
 		}
-		leader, err := DialCoordinator(f.cfg.Network, f.cfg.LeaderAddr)
+		since := uint64(0)
+		f.mu.Lock()
+		if f.cached != nil {
+			since = f.cached.Epoch
+		}
+		f.mu.Unlock()
+		m, err := leader.WatchMap(since, time.Second)
 		if err != nil {
-			select {
-			case <-f.stopCh:
+			if !f.pause() {
 				return
-			case <-time.After(100 * time.Millisecond):
 			}
 			continue
 		}
-		for {
-			since := uint64(0)
+		if m != nil && (since == 0 || m.Epoch > since) {
 			f.mu.Lock()
-			if f.cached != nil {
-				since = f.cached.Epoch
-			}
+			f.cached = m.Clone()
+			close(f.epochCh)
+			f.epochCh = make(chan struct{})
 			f.mu.Unlock()
-			m, err := leader.WatchMap(since, time.Second)
-			if err != nil {
-				break // leader gone; redial (or stop)
-			}
-			if m != nil && (since == 0 || m.Epoch > since) {
-				f.mu.Lock()
-				f.cached = m.Clone()
-				close(f.epochCh)
-				f.epochCh = make(chan struct{})
-				f.mu.Unlock()
-			}
-			select {
-			case <-f.stopCh:
-				leader.Close()
-				return
-			default:
-			}
 		}
-		leader.Close()
+	}
+}
+
+// pause waits out a failed dial or poll, reporting false if the follower
+// stopped meanwhile.
+func (f *Follower) pause() bool {
+	select {
+	case <-f.stopCh:
+		return false
+	case <-time.After(100 * time.Millisecond):
+		return true
 	}
 }
 

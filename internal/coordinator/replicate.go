@@ -15,7 +15,7 @@ import (
 // Peers[ID] address: reads (GetMap/WatchMap/LeaseMap) answer anywhere from
 // the locally applied map, while mutations and heartbeats are accepted
 // only on the leader; elsewhere they fail with the rsm.NotLeaderError
-// redirect, which clients follow by re-dialing another address.
+// redirect, which clients follow to the hinted leader (rsm.Client).
 type ReplicationConfig = rsm.GroupConfig
 
 // proposeTimeout bounds one replicated mutation; control-plane ops are

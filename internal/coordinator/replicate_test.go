@@ -1,11 +1,15 @@
 package coordinator
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"bespokv/internal/dlm"
+	"bespokv/internal/rsm"
+	"bespokv/internal/sharedlog"
 	"bespokv/internal/store/wal"
 	"bespokv/internal/topology"
 	"bespokv/internal/transport"
@@ -303,70 +307,91 @@ func TestFollowerRejectsMutations(t *testing.T) {
 	}
 }
 
-// TestClientBackoff pins the rotation backoff: exponential growth from the
-// base, jittered into [d/2, d], hard-capped at clientBackoffMax.
-func TestClientBackoff(t *testing.T) {
-	for n := 0; n < 12; n++ {
-		want := clientBackoffBase
-		for i := 0; i < n && want < clientBackoffMax; i++ {
-			want *= 2
-		}
-		if want > clientBackoffMax {
-			want = clientBackoffMax
-		}
-		for trial := 0; trial < 32; trial++ {
-			d := clientBackoff(n)
-			if d < want/2 || d > want {
-				t.Fatalf("clientBackoff(%d) = %v outside [%v, %v]", n, d, want/2, want)
-			}
-		}
-	}
-	if clientBackoff(40) > clientBackoffMax {
-		t.Fatal("backoff exceeds cap at high attempt counts")
-	}
-}
-
-// TestSplitAddrs pins the comma-list parsing every config surface uses.
-func TestSplitAddrs(t *testing.T) {
-	got := SplitAddrs(" a:1, b:2,,c:3 ")
-	if len(got) != 3 || got[0] != "a:1" || got[1] != "b:2" || got[2] != "c:3" {
-		t.Fatalf("SplitAddrs = %q", got)
-	}
-	if got := SplitAddrs(""); got != nil {
-		t.Fatalf("SplitAddrs(empty) = %q", got)
-	}
-}
-
-// TestCloseAbortsWatch pins the Close semantics the data-plane client's
-// watch teardown depends on: closing a Client mid-long-poll must fail the
-// in-flight call promptly with ErrClientClosed instead of the rotation
-// loop re-dialing and sitting out a fresh poll window.
+// TestCloseAbortsWatch pins the Close semantics every long-poll teardown
+// depends on, for each typed client over rsm.Client: closing a client
+// mid-call must fail the in-flight call promptly with rsm.ErrClientClosed
+// instead of the rotation loop re-dialing and sitting out a fresh wait.
+// The coordinator's map watch, a blocked DLM lock wait and a shared-log
+// read long poll each hold for seconds unless the abort works.
 func TestCloseAbortsWatch(t *testing.T) {
-	g := newCoordGroup(t, 1)
-	g.waitLeader()
-	c := g.client()
-	if _, err := c.SetMap(sampleMap(1, 1)); err != nil {
-		t.Fatal(err)
-	}
+	t.Run("coordinator-watch", func(t *testing.T) {
+		g := newCoordGroup(t, 1)
+		g.waitLeader()
+		c := g.client()
+		if _, err := c.SetMap(sampleMap(1, 1)); err != nil {
+			t.Fatal(err)
+		}
+		// No epoch-2 map is ever installed, so absent the abort this poll
+		// holds for its full window.
+		assertCloseAborts(t, c.Close, func() error {
+			_, err := c.WatchMap(1, 8*time.Second)
+			return err
+		})
+	})
+	t.Run("dlm-lock", func(t *testing.T) {
+		net, _ := transport.Lookup("inproc")
+		s, err := dlm.Serve(dlm.Config{Network: net, DefaultTTL: 30 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		holder, err := dlm.DialClient(net, s.Addr(), "holder")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer holder.Close()
+		if _, err := holder.Lock("k", dlm.Write, 30*time.Second, 0); err != nil {
+			t.Fatal(err)
+		}
+		waiter, err := dlm.DialClient(net, s.Addr(), "waiter")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The lease outlives the wait, so absent the abort this lock call
+		// queues for its full 8 s budget.
+		assertCloseAborts(t, waiter.Close, func() error {
+			_, err := waiter.Lock("k", dlm.Write, time.Second, 8*time.Second)
+			return err
+		})
+	})
+	t.Run("sharedlog-read", func(t *testing.T) {
+		net, _ := transport.Lookup("inproc")
+		s, err := sharedlog.Serve(sharedlog.Config{Network: net})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		c, err := sharedlog.DialClient(net, s.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Nothing is ever appended, so absent the abort this read
+		// long-polls for its full window.
+		assertCloseAborts(t, c.Close, func() error {
+			_, _, err := c.Read(0, 1, 8*time.Second)
+			return err
+		})
+	})
+}
+
+// assertCloseAborts starts call, lets it reach the server, closes the
+// client and requires the call to fail with rsm.ErrClientClosed within 1 s.
+func assertCloseAborts(t *testing.T, closeFn func() error, call func() error) {
+	t.Helper()
 	done := make(chan error, 1)
-	go func() {
-		// No epoch-2 map is ever installed, so absent the abort this
-		// poll holds for its full window.
-		_, err := c.WatchMap(1, 8*time.Second)
-		done <- err
-	}()
-	time.Sleep(50 * time.Millisecond) // let the poll reach the server
+	go func() { done <- call() }()
+	time.Sleep(50 * time.Millisecond) // let the call reach the server
 	start := time.Now()
-	c.Close()
+	closeFn()
 	select {
 	case err := <-done:
-		if err == nil {
-			t.Fatal("watch survived client close")
+		if !errors.Is(err, rsm.ErrClientClosed) {
+			t.Fatalf("call after close returned %v, want rsm.ErrClientClosed", err)
 		}
 		if d := time.Since(start); d > time.Second {
-			t.Fatalf("close took %v to abort the watch", d)
+			t.Fatalf("close took %v to abort the call", d)
 		}
 	case <-time.After(3 * time.Second):
-		t.Fatal("watch still blocked after close")
+		t.Fatal("call still blocked after close")
 	}
 }

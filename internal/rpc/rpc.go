@@ -396,7 +396,9 @@ func (c *Client) call(tid uint64, method string, args, reply any, timeout time.D
 	}
 	c.mu.Lock()
 	if c.err != nil {
-		err := c.err
+		// Same phrasing as failAll's, so a caller can tell a dead
+		// connection from an application error however it learns of it.
+		err := fmt.Errorf("rpc: connection failed: %w", c.err)
 		c.mu.Unlock()
 		return err
 	}
@@ -424,7 +426,7 @@ func (c *Client) call(tid uint64, method string, args, reply any, timeout time.D
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
-		return err
+		return fmt.Errorf("rpc: connection failed: %w", err)
 	}
 	var resp respMsg
 	if timeout > 0 {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -157,6 +158,24 @@ func TestCallAfterClientClose(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	if err := c.Call("Add", addArgs{1, 1}, nil); err == nil {
 		t.Fatal("call after close must fail")
+	}
+}
+
+// TestCallAfterConnFailureSaysSo pins the contract leader-following
+// clients classify errors by: once the connection has died, every later
+// call reports "rpc: connection failed" wrapping the cause, never the bare
+// cause, which a caller could not tell from an application error.
+func TestCallAfterConnFailureSaysSo(t *testing.T) {
+	s, c := newPair(t)
+	s.Close()
+	// The first call may race the read loop noticing the close; once it
+	// has failed, the connection is known dead.
+	if err := c.Call("Add", addArgs{1, 1}, nil); err == nil {
+		t.Fatal("call after server close must fail")
+	}
+	err := c.Call("Add", addArgs{1, 1}, nil)
+	if err == nil || !strings.HasPrefix(err.Error(), "rpc: connection failed") {
+		t.Fatalf("call on a dead connection returned %v", err)
 	}
 }
 

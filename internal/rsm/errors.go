@@ -8,7 +8,7 @@ import (
 // notLeaderPrefix is the leader-forwarding contract: rpc transports handler
 // errors as bare strings, so clients on the far side of a Call recognise a
 // redirect by this prefix and extract the hint after "leader=". Keep the
-// format stable — coordinator, DLM, and sequencer clients all parse it.
+// format stable — Client parses it for the coordinator, DLM, and sequencer.
 const (
 	notLeaderPrefix = "rsm: not leader"
 	leaderHintMark  = "leader="

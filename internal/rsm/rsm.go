@@ -6,7 +6,7 @@
 // DLM's lease table, and the shared-log sequencer each run as a
 // StateMachine on a 3-member (or any odd-sized) group; their RPC front
 // ends forward through the leader and reject elsewhere with the
-// NotLeaderError redirect contract, which clients follow by re-dialing.
+// NotLeaderError redirect contract, which Client follows (client.go).
 //
 // The profile is a control plane, not a data plane: proposals are rare
 // (failovers, lease grants, offset blocks), so the implementation favors

@@ -12,8 +12,6 @@ package sharedlog
 import (
 	"errors"
 	"fmt"
-	"io"
-	"strings"
 	"sync"
 	"time"
 
@@ -353,183 +351,34 @@ func (s *Server) handleTail(args TailArgs) (TailReply, error) {
 }
 
 // Client is a typed connection to the shared log, bound to one stream
-// (the zero-value default stream unless Stream is used). It accepts a
-// comma-separated address list and rotates on dial failure, connection
-// errors, and NotLeader redirects, so appenders survive sequencer
-// failovers transparently.
+// (the zero-value default stream unless Stream is used): an rsm.Client,
+// which follows the sequencer's leader across failovers, plus the log
+// methods.
 type Client struct {
-	core   *clientCore
+	rc     *rsm.Client
 	stream string
 }
-
-// clientCore is the rotating connection shared by all stream views.
-type clientCore struct {
-	network transport.Network
-
-	mu       sync.Mutex
-	addrs    []string
-	cur      int
-	redirect string // one-shot leader hint outside addrs
-	conn     *rpc.Client
-	closed   bool
-}
-
-// ErrClientClosed fails calls on a closed client, so Close aborts an
-// in-flight read wait instead of the call re-dialing and waiting again.
-var ErrClientClosed = errors.New("sharedlog: client closed")
 
 // DialClient connects to a shared log server (default stream). addr may be
 // a single address or a comma-separated member list.
 func DialClient(network transport.Network, addr string) (*Client, error) {
-	var addrs []string
-	for _, a := range strings.Split(addr, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			addrs = append(addrs, a)
-		}
+	rc, err := rsm.Dial(network, rsm.SplitAddrs(addr))
+	if err != nil {
+		return nil, err
 	}
-	if len(addrs) == 0 {
-		return nil, errors.New("sharedlog: no addresses")
-	}
-	core := &clientCore{network: network, addrs: addrs}
-	for range addrs {
-		if _, err := core.connect(); err == nil {
-			return &Client{core: core}, nil
-		}
-		core.mu.Lock()
-		core.cur = (core.cur + 1) % len(core.addrs)
-		core.mu.Unlock()
-	}
-	return nil, fmt.Errorf("sharedlog: no reachable server in %v", addrs)
+	return &Client{rc: rc}, nil
 }
 
 // Stream returns a view of this connection bound to the named stream.
 // Views share the underlying connection; Close on any of them closes it.
 func (c *Client) Stream(name string) *Client {
-	return &Client{core: c.core, stream: name}
-}
-
-// connect returns the live connection, dialing the current target if
-// needed. The dial happens outside the lock; a racing winner is reused.
-func (c *clientCore) connect() (*rpc.Client, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClientClosed
-	}
-	if c.conn != nil {
-		conn := c.conn
-		c.mu.Unlock()
-		return conn, nil
-	}
-	target := c.addrs[c.cur]
-	if c.redirect != "" {
-		target = c.redirect
-		c.redirect = ""
-	}
-	c.mu.Unlock()
-	conn, err := rpc.DialClient(c.network, target)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		conn.Close()
-		return nil, ErrClientClosed
-	}
-	if c.conn != nil {
-		existing := c.conn
-		c.mu.Unlock()
-		conn.Close()
-		return existing, nil
-	}
-	c.conn = conn
-	c.mu.Unlock()
-	return conn, nil
-}
-
-func (c *clientCore) drop(conn *rpc.Client) {
-	c.mu.Lock()
-	if c.conn == conn {
-		c.conn = nil
-	}
-	c.mu.Unlock()
-	conn.Close()
-}
-
-// rotate advances to the next configured address, or jumps straight to a
-// NotLeader hint when one is given.
-func (c *clientCore) rotate(hint string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if hint != "" {
-		for i, a := range c.addrs {
-			if a == hint {
-				c.cur = i
-				return
-			}
-		}
-		c.redirect = hint
-		return
-	}
-	c.cur = (c.cur + 1) % len(c.addrs)
-}
-
-func isConnErr(err error) bool {
-	return errors.Is(err, io.EOF) ||
-		errors.Is(err, transport.ErrClosed) ||
-		strings.Contains(err.Error(), "rpc: connection failed")
-}
-
-// call runs one RPC with rotation: NotLeader redirects re-target, dead
-// connections rotate, and application errors (including call timeouts)
-// return immediately — the call may have executed.
-func (c *clientCore) call(method string, args, reply any, timeout time.Duration) error {
-	attempts := 3 * len(c.addrs)
-	if attempts < 4 {
-		attempts = 4
-	}
-	var err error
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			time.Sleep(time.Duration(i) * 10 * time.Millisecond)
-		}
-		var conn *rpc.Client
-		conn, err = c.connect()
-		if err != nil {
-			if errors.Is(err, ErrClientClosed) {
-				return err
-			}
-			c.rotate("")
-			continue
-		}
-		err = conn.CallTimeoutEx(method, args, reply, timeout)
-		switch {
-		case err == nil:
-			return nil
-		case rsm.IsNotLeader(err):
-			c.drop(conn)
-			c.rotate(rsm.LeaderHint(err))
-		case isConnErr(err):
-			c.drop(conn)
-			c.rotate("")
-		case errors.Is(err, rpc.ErrCallTimeout):
-			// Silent member (blackholed or wedged): return the ambiguity,
-			// but rotate first so the next call tries someone else.
-			c.drop(conn)
-			c.rotate("")
-			return err
-		default:
-			return err
-		}
-	}
-	return err
+	return &Client{rc: c.rc, stream: name}
 }
 
 // Append writes the batch, returning the first assigned offset.
 func (c *Client) Append(entries ...[]byte) (uint64, error) {
 	var reply AppendReply
-	if err := c.core.call("Append", AppendArgs{Stream: c.stream, Entries: entries}, &reply, rpc.DefaultCallTimeout); err != nil {
+	if err := c.rc.Call(0, "Append", AppendArgs{Stream: c.stream, Entries: entries}, &reply, rpc.DefaultCallTimeout); err != nil {
 		return 0, err
 	}
 	return reply.First, nil
@@ -539,7 +388,7 @@ func (c *Client) Append(entries ...[]byte) (uint64, error) {
 func (c *Client) Read(from uint64, max int, wait time.Duration) ([]Entry, uint64, error) {
 	var reply ReadReply
 	args := ReadArgs{Stream: c.stream, From: from, Max: max, WaitMs: int(wait / time.Millisecond)}
-	if err := c.core.call("Read", args, &reply, wait+rpc.DefaultCallTimeout); err != nil {
+	if err := c.rc.Call(0, "Read", args, &reply, wait+rpc.DefaultCallTimeout); err != nil {
 		return nil, 0, err
 	}
 	return reply.Entries, reply.Next, nil
@@ -547,30 +396,21 @@ func (c *Client) Read(from uint64, max int, wait time.Duration) ([]Entry, uint64
 
 // Trim discards entries below before.
 func (c *Client) Trim(before uint64) error {
-	return c.core.call("Trim", TrimArgs{Stream: c.stream, Before: before}, nil, rpc.DefaultCallTimeout)
+	return c.rc.Call(0, "Trim", TrimArgs{Stream: c.stream, Before: before}, nil, rpc.DefaultCallTimeout)
 }
 
 // Tail returns the next offset the sequencer will assign.
 func (c *Client) Tail() (uint64, error) {
 	var reply TailReply
-	if err := c.core.call("Tail", TailArgs{Stream: c.stream}, &reply, rpc.DefaultCallTimeout); err != nil {
+	if err := c.rc.Call(0, "Tail", TailArgs{Stream: c.stream}, &reply, rpc.DefaultCallTimeout); err != nil {
 		return 0, err
 	}
 	return reply.Next, nil
 }
 
-// Close tears down the connection.
-func (c *Client) Close() error {
-	c.core.mu.Lock()
-	c.core.closed = true
-	conn := c.core.conn
-	c.core.conn = nil
-	c.core.mu.Unlock()
-	if conn != nil {
-		return conn.Close()
-	}
-	return nil
-}
+// Close tears down the connection; an in-flight read wait fails with
+// rsm.ErrClientClosed.
+func (c *Client) Close() error { return c.rc.Close() }
 
 // Subscribe starts a background reader that calls fn for every entry from
 // offset from onward, in order, until stop is closed or the log dies. It
