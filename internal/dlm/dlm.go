@@ -15,6 +15,7 @@
 package dlm
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -237,6 +238,116 @@ type UnlockArgs struct {
 	Key   string `json:"key"`
 	Owner string `json:"owner"`
 	Mode  Mode   `json:"mode"`
+}
+
+// The lease calls run on every AA+SC operation, so their payloads travel
+// in binary: LockArgs, LockReply and UnlockArgs implement the standard
+// library's encoding.BinaryAppender / encoding.BinaryUnmarshaler pair,
+// which the rpc layer uses instead of JSON. Strings are uvarint-length
+// prefixed, integers are uvarints, and a payload must be consumed exactly.
+
+// AppendBinary appends the binary form of a.
+func (a LockArgs) AppendBinary(b []byte) ([]byte, error) {
+	b = appendLease(b, a.Key, a.Owner, a.Mode)
+	b = binary.AppendUvarint(b, uint64(a.TTLMs))
+	return binary.AppendUvarint(b, uint64(a.WaitMs)), nil
+}
+
+// UnmarshalBinary decodes the form AppendBinary writes.
+func (a *LockArgs) UnmarshalBinary(data []byte) error {
+	d := decoder{b: data}
+	a.Key, a.Owner, a.Mode = d.string(), d.string(), d.mode()
+	a.TTLMs, a.WaitMs = int(d.uvarint()), int(d.uvarint())
+	return d.done()
+}
+
+// AppendBinary appends the binary form of r.
+func (r LockReply) AppendBinary(b []byte) ([]byte, error) {
+	return binary.AppendUvarint(b, r.Token), nil
+}
+
+// UnmarshalBinary decodes the form AppendBinary writes.
+func (r *LockReply) UnmarshalBinary(data []byte) error {
+	d := decoder{b: data}
+	r.Token = d.uvarint()
+	return d.done()
+}
+
+// AppendBinary appends the binary form of a.
+func (a UnlockArgs) AppendBinary(b []byte) ([]byte, error) {
+	return appendLease(b, a.Key, a.Owner, a.Mode), nil
+}
+
+// UnmarshalBinary decodes the form AppendBinary writes.
+func (a *UnlockArgs) UnmarshalBinary(data []byte) error {
+	d := decoder{b: data}
+	a.Key, a.Owner, a.Mode = d.string(), d.string(), d.mode()
+	return d.done()
+}
+
+func appendLease(b []byte, key, owner string, mode Mode) []byte {
+	for _, s := range [...]string{key, owner, string(mode)} {
+		b = binary.AppendUvarint(b, uint64(len(s)))
+		b = append(b, s...)
+	}
+	return b
+}
+
+var errBadPayload = errors.New("dlm: malformed payload")
+
+// decoder reads a payload front to back; the first short or malformed
+// field sets err and every later read returns a zero value.
+type decoder struct {
+	b   []byte
+	err error
+}
+
+func (d *decoder) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 {
+		d.err = errBadPayload
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *decoder) bytes() []byte {
+	n := d.uvarint()
+	if d.err != nil {
+		return nil
+	}
+	if n > uint64(len(d.b)) {
+		d.err = errBadPayload
+		return nil
+	}
+	s := d.b[:n]
+	d.b = d.b[n:]
+	return s
+}
+
+func (d *decoder) string() string { return string(d.bytes()) }
+
+// mode decodes a lock mode, reusing the constants for the two valid ones.
+func (d *decoder) mode() Mode {
+	switch m := d.bytes(); string(m) {
+	case string(Read):
+		return Read
+	case string(Write):
+		return Write
+	default:
+		return Mode(m)
+	}
+}
+
+func (d *decoder) done() error {
+	if d.err == nil && len(d.b) != 0 {
+		d.err = errBadPayload
+	}
+	return d.err
 }
 
 // ErrLockHeld is the error message returned when a lock cannot be granted

@@ -9,7 +9,7 @@ import (
 	"bespokv/internal/transport"
 )
 
-func newDLM(t *testing.T, cfg Config) (*Server, func(owner string) *Client) {
+func newDLM(t testing.TB, cfg Config) (*Server, func(owner string) *Client) {
 	t.Helper()
 	net, err := transport.Lookup("inproc")
 	if err != nil {

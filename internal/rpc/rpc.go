@@ -1,29 +1,36 @@
-// Package rpc is a minimal JSON-RPC layer over the transport abstraction,
-// used on the control path (coordinator, distributed lock manager, shared
-// log). The hot data path uses internal/wire instead; control traffic is
-// low-rate, so readability and evolvability win over compactness here.
+// Package rpc is the control-plane RPC layer over the transport
+// abstraction: the coordinator, the distributed lock manager, the shared
+// log, the replication groups and the controlet control port all speak it.
+// The data path uses internal/wire instead.
 //
-// Framing: 4-byte little-endian length followed by a JSON object.
-// Requests: {"id":n,"m":"Method","a":<args>}; responses:
-// {"id":n,"r":<result>} or {"id":n,"e":"message"}. Multiple calls may be in
-// flight concurrently on one connection; responses match by id.
+// Every frame is a 4-byte little-endian body length, then a binary body
+// that starts with a version byte:
+//
+//	request:  version | id | trace id | deadline budget (ns) | method | payload
+//	response: version | id | error | payload
+//
+// id, trace id and budget are uvarints, method and error are
+// uvarint-length-prefixed, and the payload runs to the end of the frame. A
+// payload whose type implements the standard library pair
+// encoding.BinaryAppender / encoding.BinaryUnmarshaler is encoded with
+// those methods; any other payload is JSON. Both ends share the Go type, so
+// they agree on the encoding without saying so on the wire. A body with any
+// other first byte, an older peer's JSON '{' included, closes the
+// connection. Many calls may be in flight on one connection; responses
+// match by id.
 package rpc
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bespokv/internal/metrics"
 	"bespokv/internal/trace"
 	"bespokv/internal/transport"
 )
-
-const maxFrame = 16 << 20
 
 // DefaultCallTimeout bounds Client.Call when Client.CallTimeout is unset.
 // A response that never comes (server wedged, frame lost to a half-open
@@ -35,66 +42,13 @@ const DefaultCallTimeout = 10 * time.Second
 // ErrCallTimeout is returned when a call's response did not arrive in time.
 var ErrCallTimeout = errors.New("rpc: call timed out")
 
-type reqMsg struct {
-	ID     uint64          `json:"id"`
-	Method string          `json:"m"`
-	Args   json.RawMessage `json:"a,omitempty"`
-	// T is the trace ID of a sampled request, 0 when untraced. Old peers
-	// ignore the unknown field; its absence unmarshals as 0 — compatible
-	// in both directions.
-	T uint64 `json:"t,omitempty"`
-	// D is the caller's remaining deadline budget in nanoseconds, 0 when
-	// unbounded. A server that dispatches the call only after the budget
-	// is spent answers "rpc: deadline expired" instead of burning a
-	// handler on work the caller has already timed out — which matters
-	// exactly when the control plane is overloaded and dispatch delays
-	// grow. Same old/new compatibility story as T.
-	D uint64 `json:"d,omitempty"`
-}
-
-// ErrDeadlineExpired is the server-side reply for a call whose budget was
+// errDeadlineExpired is the server-side reply for a call whose budget was
 // spent before its handler ran.
 const errDeadlineExpired = "rpc: deadline expired"
 
-type respMsg struct {
-	ID     uint64          `json:"id"`
-	Result json.RawMessage `json:"r,omitempty"`
-	Err    string          `json:"e,omitempty"`
-}
-
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > maxFrame {
-		return errors.New("rpc: frame too large")
-	}
-	// Header and payload go down in ONE Write: transports that treat each
-	// Write as a message quantum (the faultnet fault plane drops/duplicates
-	// whole Writes) must see frames, never torn header/payload halves.
-	buf := make([]byte, 4+len(payload))
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(payload)))
-	copy(buf[4:], payload)
-	_, err := w.Write(buf)
-	return err
-}
-
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return nil, errors.New("rpc: frame too large")
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// Handler processes one call. args is the raw JSON argument; the returned
-// value is marshaled as the result.
-type Handler func(args json.RawMessage) (any, error)
+// Handler processes one call. args is the raw request payload; the
+// returned value is encoded as the result.
+type Handler func(args []byte) (any, error)
 
 // Server dispatches calls to registered handlers.
 type Server struct {
@@ -135,15 +89,14 @@ func (s *Server) Handle(method string, fn Handler) {
 	s.handlers[method] = fn
 }
 
-// HandleFunc registers a typed handler: fn's argument is unmarshaled from
-// the request JSON.
+// HandleFunc registers a typed handler: fn's argument is decoded from the
+// request payload, in binary when A implements the encoding pair (see the
+// package comment), in JSON otherwise.
 func HandleFunc[A any, R any](s *Server, method string, fn func(A) (R, error)) {
-	s.Handle(method, func(raw json.RawMessage) (any, error) {
+	s.Handle(method, func(raw []byte) (any, error) {
 		var args A
-		if len(raw) > 0 {
-			if err := json.Unmarshal(raw, &args); err != nil {
-				return nil, fmt.Errorf("rpc: bad args for %s: %w", method, err)
-			}
+		if err := decodePayload(raw, &args); err != nil {
+			return nil, fmt.Errorf("rpc: bad args for %s: %w", method, err)
 		}
 		return fn(args)
 	})
@@ -193,20 +146,28 @@ func (s *Server) acceptLoop(l transport.Listener) {
 	}
 }
 
+// serverConn is one accepted connection; handler goroutines share its
+// write lock.
+type serverConn struct {
+	conn    transport.Conn
+	writeMu sync.Mutex
+}
+
 func (s *Server) serveConn(conn transport.Conn) {
-	var writeMu sync.Mutex
+	sc := &serverConn{conn: conn}
+	fr := frameReader{r: conn}
 	for {
-		frame, err := readFrame(conn)
+		body, err := fr.next()
 		if err != nil {
 			return
 		}
-		var req reqMsg
-		if err := json.Unmarshal(frame, &req); err != nil {
-			return
+		req, err := decodeRequest(body)
+		if err != nil {
+			return // not our envelope: close the connection
 		}
 		recv := time.Now()
 		s.mu.RLock()
-		h, ok := s.handlers[req.Method]
+		h := s.handlers[string(req.method)]
 		s.mu.RUnlock()
 		// Dispatch concurrently so slow handlers (watch long-polls)
 		// don't block the connection. Each dispatched handler holds a
@@ -214,44 +175,48 @@ func (s *Server) serveConn(conn transport.Conn) {
 		// teardown. (serveConn itself holds a slot, so this Add can
 		// never race conns.Wait observing zero.)
 		s.conns.Add(1)
-		go func() {
-			defer s.conns.Done()
-			var start time.Time
-			if req.T != 0 {
-				start = time.Now()
-				defer func() {
-					trace.Record(req.T, s.traceName(), "rpc."+req.Method, start, time.Since(start), "")
-				}()
-			}
-			var resp respMsg
-			resp.ID = req.ID
-			if !ok {
-				resp.Err = "rpc: unknown method " + req.Method
-			} else if req.D != 0 && time.Since(recv) > time.Duration(req.D) {
-				// The caller's budget ran out between receive and
-				// dispatch (handler goroutines starved under load); the
-				// caller has already timed out, so the work is doomed.
-				rpcDeadlineExpired.Inc()
-				resp.Err = errDeadlineExpired
-			} else if result, err := h(req.Args); err != nil {
-				resp.Err = err.Error()
-			} else if result != nil {
-				raw, err := json.Marshal(result)
-				if err != nil {
-					resp.Err = "rpc: marshal result: " + err.Error()
-				} else {
-					resp.Result = raw
-				}
-			}
-			payload, err := json.Marshal(resp)
-			if err != nil {
-				return
-			}
-			writeMu.Lock()
-			defer writeMu.Unlock()
-			_ = writeFrame(conn, payload)
+		go s.dispatch(sc, req, h, recv)
+	}
+}
+
+// dispatch runs one call (h is nil for an unknown method) and writes its
+// response.
+func (s *Server) dispatch(sc *serverConn, req request, h Handler, recv time.Time) {
+	defer s.conns.Done()
+	if req.trace != 0 {
+		start := time.Now()
+		defer func() {
+			trace.Record(req.trace, s.traceName(), "rpc."+string(req.method), start, time.Since(start), "")
 		}()
 	}
+	var errMsg string
+	var result any
+	switch {
+	case h == nil:
+		errMsg = "rpc: unknown method " + string(req.method)
+	case req.budget != 0 && time.Since(recv) > time.Duration(req.budget):
+		// The caller's budget ran out between receive and dispatch
+		// (handler goroutines starved under load); the caller has
+		// already timed out, so the work is doomed.
+		rpcDeadlineExpired.Inc()
+		errMsg = errDeadlineExpired
+	default:
+		var err error
+		if result, err = h(req.payload); err != nil {
+			errMsg = err.Error()
+		}
+	}
+	bp := getBuf()
+	frame, err := appendResponse(*bp, req.id, errMsg, result)
+	if err != nil {
+		frame, _ = appendResponse(*bp, req.id, "rpc: encode result: "+err.Error(), nil)
+	}
+	// A failed write means the connection is gone; serveConn's next read
+	// fails too and closes it.
+	sc.writeMu.Lock()
+	_, _ = sc.conn.Write(frame)
+	sc.writeMu.Unlock()
+	putBuf(bp, frame)
 }
 
 // Close stops the listener and all connections.
@@ -278,14 +243,14 @@ func (s *Server) Close() error {
 type Client struct {
 	conn    transport.Conn
 	writeMu sync.Mutex
+	nextID  atomic.Uint64
 
 	// CallTimeout bounds each Call's wait for its response; zero or
 	// negative disables the bound. Set before the first Call.
 	CallTimeout time.Duration
 
 	mu      sync.Mutex
-	pending map[uint64]chan respMsg
-	nextID  uint64
+	pending map[uint64]chan response
 	err     error
 }
 
@@ -298,27 +263,27 @@ func DialClient(network transport.Network, addr string) (*Client, error) {
 	c := &Client{
 		conn:        conn,
 		CallTimeout: DefaultCallTimeout,
-		pending:     map[uint64]chan respMsg{},
+		pending:     map[uint64]chan response{},
 	}
 	go c.readLoop()
 	return c, nil
 }
 
 func (c *Client) readLoop() {
+	fr := frameReader{r: c.conn}
 	for {
-		frame, err := readFrame(c.conn)
+		body, err := fr.next()
+		var resp response
+		if err == nil {
+			resp, err = decodeResponse(body)
+		}
 		if err != nil {
 			c.failAll(err)
 			return
 		}
-		var resp respMsg
-		if err := json.Unmarshal(frame, &resp); err != nil {
-			c.failAll(err)
-			return
-		}
 		c.mu.Lock()
-		ch, ok := c.pending[resp.ID]
-		delete(c.pending, resp.ID)
+		ch, ok := c.pending[resp.id]
+		delete(c.pending, resp.id)
 		c.mu.Unlock()
 		if ok {
 			ch <- resp
@@ -334,23 +299,46 @@ func (c *Client) failAll(err error) {
 	}
 	for id, ch := range c.pending {
 		delete(c.pending, id)
-		ch <- respMsg{Err: "rpc: connection failed: " + err.Error()}
+		ch <- response{err: "rpc: connection failed: " + err.Error()}
 	}
 }
 
-// Call metrics: control-path RPCs are low-rate, so the per-call labeled
-// registry lookup (one small allocation) is acceptable here, unlike on the
-// wire data path.
+// A call's response channel is recycled only after the call received on
+// it: the read loop and failAll send at most once per registration, so a
+// drained channel can never see a late send. The channel of a call that
+// timed out or failed to write is left to the collector.
+var chanPool = sync.Pool{New: func() any { return make(chan response, 1) }}
+
 var (
 	rpcCallSeconds = metrics.Default.Histogram("bespokv_rpc_call_seconds")
 	rpcTimeouts    = metrics.Default.Counter("bespokv_rpc_call_timeouts_total")
 
-	// Calls whose propagated budget was spent before dispatch (see reqMsg.D).
+	// Calls whose propagated budget was spent before dispatch.
 	rpcDeadlineExpired = metrics.Default.Counter("bespokv_deadline_expired_total", "layer", "rpc")
 )
 
-// Call invokes method with args, unmarshaling the result into reply
-// (which may be nil to discard it). It waits at most c.CallTimeout.
+// methodCounters holds one method's labeled call and error counters.
+type methodCounters struct {
+	calls, errors *metrics.Counter
+}
+
+// byMethod caches each method's counters, so a call pays a map read, not
+// a registry lookup, for its labeled series.
+var byMethod sync.Map // method string → *methodCounters
+
+func countersFor(method string) *methodCounters {
+	if m, ok := byMethod.Load(method); ok {
+		return m.(*methodCounters)
+	}
+	m, _ := byMethod.LoadOrStore(method, &methodCounters{
+		calls:  metrics.Default.Counter("bespokv_rpc_calls_total", "method", method),
+		errors: metrics.Default.Counter("bespokv_rpc_call_errors_total", "method", method),
+	})
+	return m.(*methodCounters)
+}
+
+// Call invokes method with args, decoding the result into reply (which
+// may be nil to discard it). It waits at most c.CallTimeout.
 func (c *Client) Call(method string, args any, reply any) error {
 	return c.call(0, method, args, reply, c.CallTimeout)
 }
@@ -376,38 +364,17 @@ func (c *Client) CallTimeoutTraced(tid uint64, method string, args, reply any, t
 
 func (c *Client) call(tid uint64, method string, args, reply any, timeout time.Duration) (err error) {
 	start := time.Now()
+	mc := countersFor(method)
 	defer func() {
 		rpcCallSeconds.Observe(time.Since(start))
-		metrics.Default.Counter("bespokv_rpc_calls_total", "method", method).Inc()
+		mc.calls.Inc()
 		if err != nil {
-			metrics.Default.Counter("bespokv_rpc_call_errors_total", "method", method).Inc()
+			mc.errors.Inc()
 			if errors.Is(err, ErrCallTimeout) {
 				rpcTimeouts.Inc()
 			}
 		}
 	}()
-	var rawArgs json.RawMessage
-	if args != nil {
-		b, err := json.Marshal(args)
-		if err != nil {
-			return err
-		}
-		rawArgs = b
-	}
-	c.mu.Lock()
-	if c.err != nil {
-		// Same phrasing as failAll's, so a caller can tell a dead
-		// connection from an application error however it learns of it.
-		err := fmt.Errorf("rpc: connection failed: %w", c.err)
-		c.mu.Unlock()
-		return err
-	}
-	c.nextID++
-	id := c.nextID
-	ch := make(chan respMsg, 1)
-	c.pending[id] = ch
-	c.mu.Unlock()
-
 	// The call timeout doubles as the propagated deadline budget: a server
 	// too backlogged to dispatch before it lapses answers cheaply instead
 	// of running a handler nobody is waiting for.
@@ -415,20 +382,39 @@ func (c *Client) call(tid uint64, method string, args, reply any, timeout time.D
 	if timeout > 0 {
 		budget = uint64(timeout)
 	}
-	payload, err := json.Marshal(reqMsg{ID: id, Method: method, Args: rawArgs, T: tid, D: budget})
+	// The whole frame is encoded before the call is registered, so a
+	// payload that fails to encode leaves nothing pending.
+	id := c.nextID.Add(1)
+	bp := getBuf()
+	frame, err := appendRequest(*bp, id, tid, budget, method, args)
 	if err != nil {
+		putBuf(bp, frame)
 		return err
 	}
+	c.mu.Lock()
+	if c.err != nil {
+		// Same phrasing as failAll's, so a caller can tell a dead
+		// connection from an application error however it learns of it.
+		err := fmt.Errorf("rpc: connection failed: %w", c.err)
+		c.mu.Unlock()
+		putBuf(bp, frame)
+		return err
+	}
+	ch := chanPool.Get().(chan response)
+	c.pending[id] = ch
+	c.mu.Unlock()
+
 	c.writeMu.Lock()
-	err = writeFrame(c.conn, payload)
+	_, err = c.conn.Write(frame)
 	c.writeMu.Unlock()
+	putBuf(bp, frame)
 	if err != nil {
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
 		return fmt.Errorf("rpc: connection failed: %w", err)
 	}
-	var resp respMsg
+	var resp response
 	if timeout > 0 {
 		timer := time.NewTimer(timeout)
 		defer timer.Stop()
@@ -446,13 +432,11 @@ func (c *Client) call(tid uint64, method string, args, reply any, timeout time.D
 	} else {
 		resp = <-ch
 	}
-	if resp.Err != "" {
-		return errors.New(resp.Err)
+	chanPool.Put(ch)
+	if resp.err != "" {
+		return errors.New(resp.err)
 	}
-	if reply != nil && len(resp.Result) > 0 {
-		return json.Unmarshal(resp.Result, reply)
-	}
-	return nil
+	return decodePayload(resp.payload, reply)
 }
 
 // Close tears down the connection; in-flight calls fail.

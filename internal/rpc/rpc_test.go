@@ -1,6 +1,8 @@
 package rpc
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -182,7 +184,7 @@ func TestCallAfterConnFailureSaysSo(t *testing.T) {
 func TestRawHandler(t *testing.T) {
 	net, _ := transport.Lookup("inproc")
 	s := NewServer()
-	s.Handle("Echo", func(raw json.RawMessage) (any, error) {
+	s.Handle("Echo", func(raw []byte) (any, error) {
 		return json.RawMessage(raw), nil
 	})
 	addr, err := s.Serve(net, "")
@@ -206,13 +208,13 @@ func TestRawHandler(t *testing.T) {
 
 func TestDuplicateHandlerPanics(t *testing.T) {
 	s := NewServer()
-	s.Handle("M", func(json.RawMessage) (any, error) { return nil, nil })
+	s.Handle("M", func([]byte) (any, error) { return nil, nil })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate handler must panic")
 		}
 	}()
-	s.Handle("M", func(json.RawMessage) (any, error) { return nil, nil })
+	s.Handle("M", func([]byte) (any, error) { return nil, nil })
 }
 
 func TestCallTimeout(t *testing.T) {
@@ -309,5 +311,104 @@ func TestCallTracedRecordsServerSpan(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	if rec.Total() != mid {
 		t.Fatal("untraced call recorded a span")
+	}
+}
+
+// failingArgs is a binary payload that cannot be encoded.
+type failingArgs struct{}
+
+var errEncode = errors.New("cannot encode")
+
+func (failingArgs) AppendBinary(b []byte) ([]byte, error) { return b, errEncode }
+func (*failingArgs) UnmarshalBinary([]byte) error         { return nil }
+
+// TestEncodeFailureLeavesNothingPending: a call whose args fail to encode
+// returns the encoder's error, registers nothing, and leaves the client
+// usable.
+func TestEncodeFailureLeavesNothingPending(t *testing.T) {
+	_, c := newPair(t)
+	if err := c.Call("Add", failingArgs{}, nil); !errors.Is(err, errEncode) {
+		t.Fatalf("binary encode failure: got %v", err)
+	}
+	if err := c.Call("Add", make(chan int), nil); err == nil {
+		t.Fatal("JSON encode failure: call succeeded")
+	}
+	c.mu.Lock()
+	n := len(c.pending)
+	c.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("%d calls left pending after encode failures", n)
+	}
+	var sum int
+	if err := c.Call("Add", addArgs{2, 3}, &sum); err != nil || sum != 5 {
+		t.Fatalf("next call: sum=%d err=%v", sum, err)
+	}
+}
+
+// point is a binary payload: two little-endian uint32s.
+type point struct{ X, Y uint32 }
+
+func (p point) AppendBinary(b []byte) ([]byte, error) {
+	return binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(b, p.X), p.Y), nil
+}
+
+func (p *point) UnmarshalBinary(b []byte) error {
+	if len(b) != 8 {
+		return fmt.Errorf("point: %d bytes", len(b))
+	}
+	p.X, p.Y = binary.LittleEndian.Uint32(b), binary.LittleEndian.Uint32(b[4:])
+	return nil
+}
+
+// TestBinaryPayload: a payload type implementing the encoding pair travels
+// in its own binary form both ways, not as JSON.
+func TestBinaryPayload(t *testing.T) {
+	s, c := newPair(t)
+	HandleFunc(s, "Swap", func(p point) (point, error) { return point{p.Y, p.X}, nil })
+	var raw []byte
+	s.Handle("Raw", func(b []byte) (any, error) {
+		raw = append([]byte(nil), b...)
+		return nil, nil
+	})
+	var got point
+	if err := c.Call("Swap", point{1, 2}, &got); err != nil || got != (point{2, 1}) {
+		t.Fatalf("Swap: %+v %v", got, err)
+	}
+	if err := c.Call("Raw", point{1, 2}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := (point{1, 2}).AppendBinary(nil); !bytes.Equal(raw, want) {
+		t.Fatalf("payload on the wire %q, want %q", raw, want)
+	}
+}
+
+// TestForeignFrameClosesConn: a frame that does not start with the
+// envelope version byte (here an older peer's JSON request) is answered by
+// closing the connection.
+func TestForeignFrameClosesConn(t *testing.T) {
+	s, _ := newPair(t)
+	net, _ := transport.Lookup("inproc")
+	conn, err := net.Dial(s.listener.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	body := []byte(`{"id":1,"m":"Add","a":{"A":1,"B":2}}`)
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
+	if _, err := conn.Write(append(frame, body...)); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := conn.Read(make([]byte, 64))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("server answered a JSON frame")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("server kept the connection open after a foreign frame")
 	}
 }

@@ -31,7 +31,7 @@ func errWindow(seq uint64, startMs int64, ops, errs int64) Window {
 func getObjective() Objective {
 	return Objective{
 		Name: "get-p99", Class: ClassGet, Quantile: 0.99,
-		Threshold: 10 * time.Millisecond,
+		Threshold:   10 * time.Millisecond,
 		FastWindows: 2, SlowWindows: 4, BurnThreshold: 2,
 		HoldWindows: 2, ClearWindows: 2,
 	}

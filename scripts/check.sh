@@ -15,7 +15,17 @@ set -eu
 cd "$(dirname "$0")/.."
 GO=${GO:-go}
 
-GATES="vet build test race obs telemetry migrate nemesis crash wirespeed rsm overload"
+GATES="fmt vet build test race obs telemetry migrate nemesis crash wirespeed rsm overload"
+
+# fmt fails, listing the offenders, when any Go file is not gofmt-clean.
+gate_fmt() {
+	unformatted=$(gofmt -l .)
+	if [ -n "$unformatted" ]; then
+		echo "gofmt needed on:" >&2
+		echo "$unformatted" >&2
+		return 1
+	fi
+}
 
 gate_vet() {
 	$GO vet ./...
