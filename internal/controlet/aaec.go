@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -27,6 +28,11 @@ const aaecVersionBase = uint64(1) << 63
 // the same totally ordered sequence with offset-derived versions,
 // concurrent multi-master writes to the same key converge on every node —
 // the conflict case Dynomite gets wrong (§C-C).
+//
+// The log is trimmed behind every replica: each heartbeat reports the
+// applier's (stream, applied) position, the coordinator answers with the
+// shard's floor (the minimum over its replicas), and the shard's first
+// replica trims there whenever the floor crosses a segment boundary.
 type logApplier struct {
 	s       *Server
 	client  *sharedlog.Client
@@ -35,6 +41,16 @@ type logApplier struct {
 	adj     atomic.Uint64 // version-floor adjustment (see floor records)
 	appends chan appendReq
 	stopCh  chan struct{}
+
+	// mu guards the position the heartbeat reports and the trim floor
+	// it brings back.
+	mu          sync.Mutex
+	stream      string // the stream applied offsets refer to
+	position    uint64 // every entry of stream below it is applied
+	floorStream string
+	floor       uint64
+	// lastTrim is the floor of this node's last Trim (applyLoop only).
+	lastTrim uint64
 }
 
 // appendReq is one write waiting for the group-commit batcher.
@@ -168,10 +184,15 @@ func (a *logApplier) applyLoop(reader *sharedlog.Client) {
 		// stream from the beginning (idempotent under LWW versions). The
 		// floor adjustment replays with it: floor records are part of the
 		// stream, so adj follows the same trajectory on every replay.
+		// Replays start at offset 0 even on a trimmed stream: the log
+		// serves the pinned floor records below its trim point and then
+		// continues from the oldest entry it kept, and the recovery donor
+		// supplies the writes trimmed away (see DESIGN.md, Shared log).
 		if cur := a.s.shardID(); cur != stream {
 			stream = cur
 			next = 0
 			a.adj.Store(0)
+			a.lastTrim = 0
 		}
 		entries, n, err := reader.Stream(stream).Read(next, 4096, 500*time.Millisecond)
 		if err != nil {
@@ -187,7 +208,11 @@ func (a *logApplier) applyLoop(reader *sharedlog.Client) {
 		}
 		next = n
 		a.applied.Store(next)
+		a.mu.Lock()
+		a.stream, a.position = stream, next
+		a.mu.Unlock()
 		ctlAAECApplied.Set(int64(next))
+		a.maybeTrim()
 		if len(entries) > 0 {
 			// Pace the long-poll so sustained appends coalesce into
 			// batched reads instead of one wake per entry (the paper's
@@ -200,6 +225,56 @@ func (a *logApplier) applyLoop(reader *sharedlog.Client) {
 			}
 		}
 	}
+}
+
+// progress reports the stream the applier follows and the offset below
+// which it has applied every entry ("" before its first read).
+func (a *logApplier) progress() (stream string, applied uint64) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.stream, a.position
+}
+
+// setTrimFloor records the trim floor the coordinator returned for stream.
+func (a *logApplier) setTrimFloor(stream string, floor uint64) {
+	a.mu.Lock()
+	a.floorStream, a.floor = stream, floor
+	a.mu.Unlock()
+}
+
+// trimFloor returns the latest trim floor the coordinator returned.
+func (a *logApplier) trimFloor() uint64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.floor
+}
+
+// maybeTrim trims the stream to the coordinator's floor when this node is
+// the first replica of the floor's shard and the floor has crossed a
+// segment boundary since its last trim; a trim that crosses none would
+// drop nothing. Every replica has applied everything below the floor, and
+// anyone joining later recovers that prefix from a donor, so the trimmed
+// entries are never read again.
+func (a *logApplier) maybeTrim() {
+	a.mu.Lock()
+	stream, floor := a.floorStream, a.floor
+	a.mu.Unlock()
+	const seg = sharedlog.DefaultSegmentEntries
+	if floor/seg <= a.lastTrim/seg {
+		return
+	}
+	if shard, pos := a.s.myShard(a.s.Map()); pos != 0 || shard.ID != stream {
+		return
+	}
+	if err := a.client.Stream(stream).Trim(floor); err != nil {
+		select {
+		case <-a.stopCh:
+		default:
+			a.s.cfg.Logf("controlet %s: trim %s to %d: %v", a.s.cfg.NodeID, stream, floor, err)
+		}
+		return
+	}
+	a.lastTrim = floor
 }
 
 func (a *logApplier) applyEntry(e sharedlog.Entry) {
@@ -265,9 +340,12 @@ func (a *logApplier) applyFloor(e sharedlog.Entry) {
 
 // appendFloor sequences a version-floor record through the shard's stream
 // and waits until the local applier has consumed it, so writes acked by
-// this node after appendFloor returns carry post-floor versions.
+// this node after appendFloor returns carry post-floor versions. The record
+// is pinned: it outlives every trim, so a replay from offset 0 still
+// rebuilds the same adj.
 func (a *logApplier) appendFloor(floor uint64) error {
-	off, err := a.append(a.s.shardID(), encodeFloorRecord(a.s.shardID(), floor))
+	shard := a.s.shardID()
+	off, err := a.client.Stream(shard).AppendPinned(encodeFloorRecord(shard, floor))
 	if err != nil {
 		return err
 	}

@@ -674,12 +674,20 @@ func (s *Server) heartbeatLoop() {
 		}
 		dataletOK := s.local.Get().Ping() == nil
 		ctlHeartbeats.Inc()
-		epoch, err := coordClient.Heartbeat(s.cfg.NodeID, dataletOK)
+		hb := coordinator.Heartbeat{NodeID: s.cfg.NodeID, DataletOK: dataletOK}
+		if s.aaec != nil {
+			hb.LogStream, hb.LogApplied = s.aaec.progress()
+		}
+		reply, err := coordClient.Heartbeat(hb)
 		if err != nil {
 			ctlHeartbeatErrs.Inc()
 			continue
 		}
 		s.lastBeat.Store(time.Now().UnixNano())
+		if s.aaec != nil && hb.LogStream != "" {
+			s.aaec.setTrimFloor(hb.LogStream, reply.LogFloor)
+		}
+		epoch := reply.Epoch
 		cur := s.Map()
 		if cur == nil || epoch > cur.Epoch {
 			if m, err := coordClient.GetMap(); err == nil {

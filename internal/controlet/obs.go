@@ -180,6 +180,7 @@ func (s *Server) Status() any {
 	}
 	if s.aaec != nil {
 		st["aaec_applied_offset"] = s.aaec.applied.Load()
+		st["aaec_trim_floor"] = s.aaec.trimFloor()
 	}
 	return st
 }

@@ -67,17 +67,19 @@ func (s *Server) routeForeign(req *wire.Request, resp *wire.Response) bool {
 	return true
 }
 
-// p2pTarget picks the node in the owning shard that should see req.
+// p2pTarget picks the node in the owning shard that should see req. The
+// clock spreads picks; it is reduced as a uint64 because AA+EC versions,
+// and so the clock, sit at or above 1<<63, where int() turns negative.
 func (s *Server) p2pTarget(m *topology.Map, owner topology.Shard, req *wire.Request) topology.Node {
 	if req.Op == wire.OpGet {
 		if m.Mode.Topology == topology.MS && m.Mode.Consistency == topology.Strong {
 			return owner.ReadTail()
 		}
 		readable := owner.ReadReplicas()
-		return readable[int(s.clock.Load())%len(readable)]
+		return readable[s.clock.Load()%uint64(len(readable))]
 	}
 	if m.Mode.Topology == topology.AA {
-		return owner.Replicas[int(s.clock.Load())%len(owner.Replicas)]
+		return owner.Replicas[s.clock.Load()%uint64(len(owner.Replicas))]
 	}
 	return owner.Head()
 }

@@ -68,10 +68,14 @@ func (s *Server) recoverFrom(args RecoverArgs) (RecoverReply, error) {
 	local := s.local.Get()
 
 	// The local datalet's per-table recovered watermarks decide between
-	// incremental and full recovery.
+	// incremental and full recovery. AA+EC always takes the full export:
+	// a writer applies its own writes ahead of its log applier, so its
+	// watermark is not a prefix of what it holds, and the writes it missed
+	// below the shared log's trim point exist only at the source — a delta
+	// above the watermark would skip them.
 	watermarks := map[string]uint64{}
 	var localStats wire.Response
-	if err := local.Do(&wire.Request{Op: wire.OpStats}, &localStats); err == nil && localStats.ErrValue() == nil {
+	if s.aaec == nil && local.Do(&wire.Request{Op: wire.OpStats}, &localStats) == nil && localStats.ErrValue() == nil {
 		for _, p := range localStats.Pairs {
 			watermarks[string(p.Key)] = p.Version
 		}

@@ -93,13 +93,12 @@ func (c *Client) SetMap(m *topology.Map) (uint64, error) {
 	return reply.Epoch, nil
 }
 
-// Heartbeat reports liveness for a node pair and learns the current epoch.
-func (c *Client) Heartbeat(nodeID string, dataletOK bool) (uint64, error) {
+// Heartbeat reports liveness (and any shared-log progress) for a node
+// pair and learns the current epoch and its shard's log trim floor.
+func (c *Client) Heartbeat(hb Heartbeat) (HeartbeatReply, error) {
 	var reply HeartbeatReply
-	if err := c.call("Heartbeat", Heartbeat{NodeID: nodeID, DataletOK: dataletOK}, &reply); err != nil {
-		return 0, err
-	}
-	return reply.Epoch, nil
+	err := c.call("Heartbeat", hb, &reply)
+	return reply, err
 }
 
 // RegisterStandby adds a spare controlet–datalet pair to the failover pool.

@@ -73,6 +73,13 @@ type Server struct {
 	cur       *topology.Map
 	lastSeen  map[string]time.Time
 	suspended map[string]bool // nodes already failed over
+
+	// logApplied keeps each node's latest AA+EC applier report; the
+	// leader derives per-shard trim floors from it. Soft state: a new
+	// leader starts empty and returns no floor until every replica
+	// reports again.
+	logApplied map[string]logProgress
+
 	standbys  []topology.Node
 	epochCh   chan struct{} // closed and replaced on every epoch bump
 	migrating *migrationRun // active rebalance, nil when idle (see rebalance.go)
@@ -103,11 +110,26 @@ type Heartbeat struct {
 	NodeID string `json:"node"`
 	// DataletOK reports the controlet's view of its local datalet.
 	DataletOK bool `json:"datalet_ok"`
+	// LogStream and LogApplied report an AA+EC node's shared-log progress:
+	// it has applied every entry of LogStream below LogApplied. Nodes in
+	// other modes leave them empty.
+	LogStream  string `json:"log_stream,omitempty"`
+	LogApplied uint64 `json:"log_applied,omitempty"`
 }
 
 // HeartbeatReply tells the controlet the current epoch so it can refresh.
 type HeartbeatReply struct {
 	Epoch uint64 `json:"epoch"`
+	// LogFloor is the offset below which every replica of the reporting
+	// node's shard has applied LogStream, so the stream may be trimmed
+	// there; 0 until every replica has reported on that stream.
+	LogFloor uint64 `json:"log_floor,omitempty"`
+}
+
+// logProgress is the latest shared-log report of one node.
+type logProgress struct {
+	stream  string
+	applied uint64
 }
 
 // WatchArgs long-polls for a map newer than Since.
@@ -155,12 +177,13 @@ func Serve(cfg Config) (*Server, error) {
 		cfg.TelemetryStaleAfter = cfg.HeartbeatTimeout
 	}
 	s := &Server{
-		cfg:       cfg,
-		rpc:       rpc.NewServer(),
-		lastSeen:  map[string]time.Time{},
-		suspended: map[string]bool{},
-		epochCh:   make(chan struct{}),
-		stopCh:    make(chan struct{}),
+		cfg:        cfg,
+		rpc:        rpc.NewServer(),
+		lastSeen:   map[string]time.Time{},
+		suspended:  map[string]bool{},
+		logApplied: map[string]logProgress{},
+		epochCh:    make(chan struct{}),
+		stopCh:     make(chan struct{}),
 		agg: telemetry.NewAggregator(telemetry.AggregatorOptions{
 			StaleAfter: cfg.TelemetryStaleAfter,
 			Objectives: cfg.SLOs,
@@ -371,11 +394,45 @@ func (s *Server) handleHeartbeat(hb Heartbeat) (HeartbeatReply, error) {
 	} else {
 		s.lastSeen[hb.NodeID] = time.Now()
 	}
-	var epoch uint64
-	if s.cur != nil {
-		epoch = s.cur.Epoch
+	if s.cur == nil {
+		return HeartbeatReply{}, nil
 	}
-	return HeartbeatReply{Epoch: epoch}, nil
+	reply := HeartbeatReply{Epoch: s.cur.Epoch}
+	if hb.LogStream != "" {
+		s.logApplied[hb.NodeID] = logProgress{stream: hb.LogStream, applied: hb.LogApplied}
+		reply.LogFloor = s.logFloorLocked(hb.NodeID, hb.LogStream)
+	}
+	return reply, nil
+}
+
+// logFloorLocked returns the trim floor of stream, the shard stream
+// nodeID reported on: the minimum applied offset over the shard's current
+// replicas, or 0 unless nodeID is one of them and every one of them has
+// reported on that stream. A stale report is never above what its node
+// has applied, so it can only hold the floor back. Caller holds mu.
+func (s *Server) logFloorLocked(nodeID, stream string) uint64 {
+	for _, shard := range s.cur.Shards {
+		if shard.ID != stream {
+			continue
+		}
+		var floor uint64
+		member := false
+		for i, n := range shard.Replicas {
+			p, ok := s.logApplied[n.ID]
+			if !ok || p.stream != stream {
+				return 0
+			}
+			if i == 0 || p.applied < floor {
+				floor = p.applied
+			}
+			member = member || n.ID == nodeID
+		}
+		if !member {
+			return 0
+		}
+		return floor
+	}
+	return 0
 }
 
 func (s *Server) handleRegisterStandby(n topology.Node) (struct{}, error) {

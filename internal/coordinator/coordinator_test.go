@@ -146,9 +146,49 @@ func TestWatchMapTimesOutWithCurrent(t *testing.T) {
 func TestHeartbeatReturnsEpoch(t *testing.T) {
 	_, c := newCoord(t, Config{DisableFailover: true})
 	c.SetMap(sampleMap(1, 3))
-	epoch, err := c.Heartbeat("s0-r0", true)
-	if err != nil || epoch != 1 {
-		t.Fatalf("epoch=%d err=%v", epoch, err)
+	reply, err := c.Heartbeat(Heartbeat{NodeID: "s0-r0", DataletOK: true})
+	if err != nil || reply.Epoch != 1 || reply.LogFloor != 0 {
+		t.Fatalf("reply=%+v err=%v", reply, err)
+	}
+}
+
+// TestHeartbeatLogFloor checks the shared-log trim floor the heartbeat
+// reply carries: the minimum applied offset over the shard's replicas,
+// and 0 until all of them have reported on the shard's stream.
+func TestHeartbeatLogFloor(t *testing.T) {
+	_, c := newCoord(t, Config{DisableFailover: true})
+	c.SetMap(sampleMap(1, 3))
+	floor := func(node, stream string, applied uint64) uint64 {
+		t.Helper()
+		reply, err := c.Heartbeat(Heartbeat{NodeID: node, DataletOK: true, LogStream: stream, LogApplied: applied})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reply.LogFloor
+	}
+	steps := []struct {
+		node, stream string
+		applied      uint64
+		want         uint64
+	}{
+		{"s0-r0", "shard-0", 100, 0}, // r1 and r2 have not reported
+		{"s0-r1", "shard-0", 150, 0},
+		{"s0-r2", "shard-9", 500, 0}, // r2 follows another stream
+		{"s0-r2", "shard-0", 120, 100},
+		{"s0-r0", "shard-0", 200, 120},
+		{"s0-r1", "shard-0", 90, 90}, // a lower (restarted) report lowers it
+		{"x-9", "shard-0", 1000, 0},  // not a replica of shard-0
+		{"s0-r0", "shard-1", 300, 0}, // a stream no shard of this node owns
+	}
+	for i, st := range steps {
+		if got := floor(st.node, st.stream, st.applied); got != st.want {
+			t.Fatalf("step %d (%s reports %s@%d): floor %d, want %d", i, st.node, st.stream, st.applied, got, st.want)
+		}
+	}
+	// A report without log fields (another mode, or an older peer) gets
+	// no floor.
+	if got := floor("s0-r1", "", 0); got != 0 {
+		t.Fatalf("floor without a log report = %d", got)
 	}
 }
 
@@ -218,8 +258,8 @@ func TestHeartbeatTimeoutTriggersFailover(t *testing.T) {
 			case <-stop:
 				return
 			case <-ticker.C:
-				c.Heartbeat("s0-r0", true)
-				c.Heartbeat("s0-r2", true)
+				c.Heartbeat(Heartbeat{NodeID: "s0-r0", DataletOK: true})
+				c.Heartbeat(Heartbeat{NodeID: "s0-r2", DataletOK: true})
 			}
 		}
 	}()

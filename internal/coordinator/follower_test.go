@@ -104,7 +104,7 @@ func TestFollowerPromotionContinuesEpochs(t *testing.T) {
 		t.Fatalf("promoted map lost state: %+v", m)
 	}
 	// The promoted coordinator is fully functional.
-	if _, err := pc.Heartbeat("s0-r0", true); err != nil {
+	if _, err := pc.Heartbeat(Heartbeat{NodeID: "s0-r0", DataletOK: true}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := pc.LeaderElect("shard-0", "s0-r0"); err != nil {

@@ -11,32 +11,18 @@ import (
 // means the sequencer group has no quorum.
 const proposeTimeout = 5 * time.Second
 
-const (
-	opAppend = "append"
-	opTrim   = "trim"
-)
-
-// logCmd is one replicated log entry: an appended batch (the sequencer
-// counter advances exactly by its length, in commit order, identically on
-// every member) or a trim.
-type logCmd struct {
-	Op      string   `json:"op"`
-	Stream  string   `json:"stream,omitempty"`
-	Entries [][]byte `json:"entries,omitempty"`
-	Before  uint64   `json:"before,omitempty"`
-}
-
 // trimResult carries a trim's deterministic outcome back to the proposer.
 type trimResult struct {
 	Err string `json:"err,omitempty"`
 }
 
-// streamSnapshot is one stream's checkpoint image: retained entries plus
-// the sequencer counter and trim floor.
+// streamSnapshot is one stream's checkpoint image: the retained segment
+// entries, every pinned entry, and the sequencer counter and trim floor.
 type streamSnapshot struct {
 	Next    uint64  `json:"next"`
 	Trimmed uint64  `json:"trimmed"`
 	Entries []Entry `json:"entries,omitempty"`
+	Pinned  []Entry `json:"pinned,omitempty"`
 }
 
 // leaderCheck gates appends and trims: in replicated mode only the leader
@@ -49,7 +35,8 @@ func (s *Server) leaderCheck() error {
 }
 
 func (s *Server) proposeAppend(args AppendArgs) (AppendReply, error) {
-	b, err := json.Marshal(logCmd{Op: opAppend, Stream: args.Stream, Entries: args.Entries})
+	cmd := logCmd{Op: opAppend, Stream: args.Stream, Pin: args.Pin, Entries: args.Entries}
+	b, err := cmd.AppendBinary(make([]byte, 0, len(args.Stream)+encodedSize(args.Entries)))
 	if err != nil {
 		return AppendReply{}, err
 	}
@@ -65,7 +52,7 @@ func (s *Server) proposeAppend(args AppendArgs) (AppendReply, error) {
 }
 
 func (s *Server) proposeTrim(args TrimArgs) error {
-	b, err := json.Marshal(logCmd{Op: opTrim, Stream: args.Stream, Before: args.Before})
+	b, err := logCmd{Op: opTrim, Stream: args.Stream, Before: args.Before}.AppendBinary(nil)
 	if err != nil {
 		return err
 	}
@@ -81,14 +68,15 @@ func (s *Server) proposeTrim(args TrimArgs) error {
 
 // logSM adapts the stream table to the rsm.StateMachine interface. Apply
 // runs on every member with the RSM internals locked, so it only touches
-// s.mu-guarded state and never calls back into the RSM node. Each member
+// s.mu-guarded state and never calls back into the RSM node. Appended
+// entries alias cmd, which the RSM keeps immutable. Each member
 // wakes its own long-pollers on apply, which is how followers serve
 // subscriptions at one-RPC propagation latency.
 type logSM struct{ s *Server }
 
 func (m logSM) Apply(index uint64, cmd []byte) any {
 	var op logCmd
-	if err := json.Unmarshal(cmd, &op); err != nil {
+	if err := op.UnmarshalBinary(cmd); err != nil {
 		m.s.cfg.Logf("sharedlog: rsm entry %d undecodable: %v", index, err)
 		return trimResult{Err: "sharedlog: undecodable command"}
 	}
@@ -96,14 +84,13 @@ func (m logSM) Apply(index uint64, cmd []byte) any {
 	defer m.s.mu.Unlock()
 	switch op.Op {
 	case opAppend:
-		return m.s.applyAppendLocked(op.Stream, op.Entries)
+		return m.s.applyAppendLocked(op.Stream, op.Pin, op.Entries)
 	case opTrim:
 		if err := m.s.applyTrimLocked(op.Stream, op.Before); err != nil {
 			return trimResult{Err: err.Error()}
 		}
 		return trimResult{}
 	default:
-		m.s.cfg.Logf("sharedlog: rsm entry %d has unknown op %q", index, op.Op)
 		return trimResult{Err: "sharedlog: unknown command"}
 	}
 }
@@ -113,7 +100,7 @@ func (m logSM) Snapshot() []byte {
 	defer m.s.mu.Unlock()
 	snap := map[string]streamSnapshot{}
 	for name, st := range m.s.streams {
-		ss := streamSnapshot{Next: st.next, Trimmed: st.trimmed}
+		ss := streamSnapshot{Next: st.next, Trimmed: st.trimmed, Pinned: st.pinned}
 		for _, seg := range st.segs {
 			ss.Entries = append(ss.Entries, seg.entries...)
 		}
@@ -145,18 +132,20 @@ func (m logSM) Restore(data []byte) {
 			delete(m.s.streams, name)
 		}
 	}
+	m.s.retained = 0
 	for name, ss := range snap {
 		st := m.s.streamLocked(name)
-		st.next, st.trimmed, st.segs = ss.Trimmed, ss.Trimmed, nil
+		st.next, st.trimmed, st.pinned, st.segs = ss.Next, ss.Trimmed, ss.Pinned, nil
+		// The snapshot's entries are contiguous from the trim floor, so
+		// regrouping them into full segments keeps the offset arithmetic.
 		for _, e := range ss.Entries {
-			// Rebuild segments with the snapshot's offsets; entries are
-			// in order but may start above the trim floor.
 			if len(st.segs) == 0 || len(st.segs[len(st.segs)-1].entries) >= m.s.cfg.SegmentEntries {
 				st.segs = append(st.segs, &segment{base: e.Offset})
 			}
 			seg := st.segs[len(st.segs)-1]
 			seg.entries = append(seg.entries, e)
 		}
-		st.next = ss.Next
+		m.s.retained += st.retained()
 	}
+	logRetained.Set(m.s.retained)
 }

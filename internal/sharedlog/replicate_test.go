@@ -23,9 +23,16 @@ type logGroup struct {
 	peers map[string]string
 	fss   map[string]*wal.MemFS
 	srvs  map[string]*Server
+	seg   int // SegmentEntries for every member (0 = default)
 }
 
 func newLogGroup(t *testing.T, n int) *logGroup {
+	t.Helper()
+	return newSegLogGroup(t, n, 0)
+}
+
+// newSegLogGroup is newLogGroup with seg-entry segments.
+func newSegLogGroup(t *testing.T, n, seg int) *logGroup {
 	t.Helper()
 	net, err := transport.Lookup("inproc")
 	if err != nil {
@@ -38,6 +45,7 @@ func newLogGroup(t *testing.T, n int) *logGroup {
 		peers: map[string]string{},
 		fss:   map[string]*wal.MemFS{},
 		srvs:  map[string]*Server{},
+		seg:   seg,
 	}
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("seq-%d", i)
@@ -59,8 +67,9 @@ func newLogGroup(t *testing.T, n int) *logGroup {
 func (g *logGroup) start(id string) {
 	g.t.Helper()
 	s, err := Serve(Config{
-		Network: g.net,
-		Addr:    g.peers[id],
+		Network:        g.net,
+		Addr:           g.peers[id],
+		SegmentEntries: g.seg,
 		Replication: &rsm.GroupConfig{
 			ID:              id,
 			Peers:           g.peers,

@@ -7,11 +7,21 @@
 // The design keeps CORFU's split between a sequencer (offset assignment)
 // and storage (segmented entry store), collapsed into one process; readers
 // long-poll so propagation latency is one RPC, not a poll interval.
+//
+// The log trims. Trim drops whole segments below a point the caller
+// guarantees every reader has consumed; the AA+EC controlets derive that
+// point from their replicas' applied offsets, which the coordinator
+// gathers from heartbeats, and the shard's first replica trims once the
+// floor crosses a segment boundary. Pinned entries (the version-floor
+// records) survive trims: a Read from below the trim point returns them and
+// then continues from the oldest retained segment, so a replayer rebuilds
+// the same state from the pinned records that it would from the full log.
 package sharedlog
 
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -22,14 +32,22 @@ import (
 )
 
 // Append/read traffic counters; the tail gauge lets dashboards derive
-// replication lag as tail minus each controlet's applied offset.
+// replication lag as tail minus each controlet's applied offset, and the
+// retained gauge shows what trimming leaves in memory (every stream's
+// segments plus the pinned entries below each trim point).
 var (
 	logAppends       = metrics.Default.Counter("bespokv_sharedlog_appends_total")
 	logEntriesTotal  = metrics.Default.Counter("bespokv_sharedlog_entries_total")
 	logReads         = metrics.Default.Counter("bespokv_sharedlog_reads_total")
 	logEntriesServed = metrics.Default.Counter("bespokv_sharedlog_entries_served_total")
 	logTail          = metrics.Default.Gauge("bespokv_sharedlog_tail")
+	logRetained      = metrics.Default.Gauge("bespokv_sharedlog_retained_entries")
 )
+
+// DefaultSegmentEntries is the segment capacity a server uses when
+// Config.SegmentEntries is unset. Trimmers pace their Trim calls by it: a
+// trim that does not cross a segment boundary drops nothing.
+const DefaultSegmentEntries = 4096
 
 // Entry is one ordered log record.
 type Entry struct {
@@ -44,7 +62,7 @@ type Config struct {
 	Network transport.Network
 	Addr    string
 	// SegmentEntries is the per-segment capacity before a new segment
-	// starts (default 4096); Trim drops whole segments.
+	// starts (default DefaultSegmentEntries); Trim drops whole segments.
 	SegmentEntries int
 	// Replication, when set, replicates the sequencer counters and the
 	// entries they order on a replicated state machine: appends and trims
@@ -54,6 +72,9 @@ type Config struct {
 	Logf        func(format string, args ...any)
 }
 
+// segment holds SegmentEntries consecutive entries starting at base; only
+// a stream's last segment may be partial, so an offset's segment and slot
+// follow from arithmetic on the first segment's base.
 type segment struct {
 	base    uint64
 	entries []Entry
@@ -64,10 +85,24 @@ type segment struct {
 // controlets use one stream per shard), which is the paper's noted path
 // for scaling the shared log with the cluster.
 type logState struct {
-	segs    []*segment
+	segs []*segment
+	// pinned lists every pinned entry in offset order. Those at or above
+	// trimmed are also in segs; those below it are all that is left of
+	// the trimmed prefix.
+	pinned  []Entry
 	next    uint64 // sequencer: next offset to assign
-	trimmed uint64 // offsets below this are gone
+	trimmed uint64 // unpinned offsets below this are gone; segs[0].base when segs is non-empty
 	tailCh  chan struct{}
+}
+
+// pinnedBelow counts the pinned entries with offsets below off.
+func (st *logState) pinnedBelow(off uint64) int {
+	return sort.Search(len(st.pinned), func(i int) bool { return st.pinned[i].Offset >= off })
+}
+
+// retained counts the entries the stream holds in memory.
+func (st *logState) retained() int64 {
+	return int64(st.next-st.trimmed) + int64(st.pinnedBelow(st.trimmed))
 }
 
 // Server is a running shared log.
@@ -77,41 +112,44 @@ type Server struct {
 	addr string
 	node *rsm.Node // nil in standalone mode
 
-	mu      sync.Mutex
-	streams map[string]*logState
-	stopCh  chan struct{}
-	stopped bool
+	mu       sync.Mutex
+	streams  map[string]*logState
+	retained int64 // sum of every stream's retained()
+	stopCh   chan struct{}
+	stopped  bool
 }
 
-// AppendArgs appends a batch atomically (contiguous offsets).
+// AppendArgs appends a batch atomically (contiguous offsets). Pinned
+// entries survive every later Trim.
 type AppendArgs struct {
 	// Stream selects an independent log ("" is the default stream).
-	Stream  string   `json:"stream,omitempty"`
-	Entries [][]byte `json:"entries"`
+	Stream  string
+	Pin     bool
+	Entries [][]byte
 }
 
 // AppendReply returns the offset of the first appended entry.
 type AppendReply struct {
-	First uint64 `json:"first"`
-	Next  uint64 `json:"next"`
+	First uint64
+	Next  uint64
 }
 
 // ReadArgs fetches entries at offsets >= From, up to Max, long-polling up
 // to WaitMs when the log has nothing newer.
 type ReadArgs struct {
-	Stream string `json:"stream,omitempty"`
-	From   uint64 `json:"from"`
-	Max    int    `json:"max,omitempty"`
-	WaitMs int    `json:"wait_ms,omitempty"`
+	Stream string
+	From   uint64
+	Max    int
+	WaitMs int
 }
 
 // ReadReply carries the entries and the next offset to read from.
 type ReadReply struct {
-	Entries []Entry `json:"entries,omitempty"`
-	Next    uint64  `json:"next"`
+	Entries []Entry
+	Next    uint64
 }
 
-// TrimArgs discards entries below Before.
+// TrimArgs discards unpinned entries below Before.
 type TrimArgs struct {
 	Stream string `json:"stream,omitempty"`
 	Before uint64 `json:"before"`
@@ -133,7 +171,7 @@ func Serve(cfg Config) (*Server, error) {
 		return nil, errors.New("sharedlog: Network is required")
 	}
 	if cfg.SegmentEntries <= 0 {
-		cfg.SegmentEntries = 4096
+		cfg.SegmentEntries = DefaultSegmentEntries
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -219,7 +257,7 @@ func (s *Server) handleAppend(args AppendArgs) (AppendReply, error) {
 	if s.node == nil {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return s.applyAppendLocked(args.Stream, args.Entries), nil
+		return s.applyAppendLocked(args.Stream, args.Pin, args.Entries), nil
 	}
 	return s.proposeAppend(args)
 }
@@ -227,22 +265,28 @@ func (s *Server) handleAppend(args AppendArgs) (AppendReply, error) {
 // applyAppendLocked assigns offsets from the stream's sequencer counter and
 // stores the batch; it is both the standalone append path and the
 // replicated apply body, so the two modes cannot drift. Caller holds mu.
-func (s *Server) applyAppendLocked(stream string, entries [][]byte) AppendReply {
+func (s *Server) applyAppendLocked(stream string, pin bool, entries [][]byte) AppendReply {
 	st := s.streamLocked(stream)
 	first := st.next
 	for _, data := range entries {
 		if len(st.segs) == 0 || len(st.segs[len(st.segs)-1].entries) >= s.cfg.SegmentEntries {
-			st.segs = append(st.segs, &segment{base: st.next})
+			st.segs = append(st.segs, &segment{base: st.next, entries: make([]Entry, 0, s.cfg.SegmentEntries)})
 		}
 		seg := st.segs[len(st.segs)-1]
-		seg.entries = append(seg.entries, Entry{Offset: st.next, Data: data})
+		e := Entry{Offset: st.next, Data: data}
+		seg.entries = append(seg.entries, e)
+		if pin {
+			st.pinned = append(st.pinned, e)
+		}
 		st.next++
 	}
 	close(st.tailCh)
 	st.tailCh = make(chan struct{})
+	s.retained += int64(len(entries))
 	logAppends.Inc()
 	logEntriesTotal.Add(int64(len(entries)))
 	logTail.Set(int64(st.next))
+	logRetained.Set(s.retained)
 	return AppendReply{First: first, Next: st.next}
 }
 
@@ -260,50 +304,65 @@ func (s *Server) handleRead(args ReadArgs) (ReadReply, error) {
 	for {
 		s.mu.Lock()
 		st := s.streamLocked(args.Stream)
-		if args.From < st.trimmed {
-			from := st.trimmed
-			s.mu.Unlock()
-			return ReadReply{}, fmt.Errorf("sharedlog: offset %d trimmed (oldest available %d)", args.From, from)
-		}
-		if args.From < st.next {
-			reply := ReadReply{Next: args.From}
-			for _, seg := range st.segs {
-				if seg.base+uint64(len(seg.entries)) <= args.From {
-					continue
-				}
-				start := 0
-				if args.From > seg.base {
-					start = int(args.From - seg.base)
-				}
-				for _, e := range seg.entries[start:] {
-					if len(reply.Entries) >= max {
-						break
-					}
-					reply.Entries = append(reply.Entries, e)
-				}
-				if len(reply.Entries) >= max {
-					break
-				}
-			}
-			reply.Next = args.From + uint64(len(reply.Entries))
-			s.mu.Unlock()
+		reply := s.readLocked(st, args.From, max)
+		ch := st.tailCh
+		s.mu.Unlock()
+		if len(reply.Entries) > 0 {
 			logReads.Inc()
 			logEntriesServed.Add(int64(len(reply.Entries)))
 			return reply, nil
 		}
-		ch := st.tailCh
-		s.mu.Unlock()
 		if deadline == nil {
-			return ReadReply{Next: args.From}, nil
+			return reply, nil
 		}
 		select {
 		case <-ch:
 		case <-deadline:
-			return ReadReply{Next: args.From}, nil
+			return reply, nil
 		case <-s.stopCh:
 			return ReadReply{}, errors.New("sharedlog: shutting down")
 		}
 	}
+}
+
+// readLocked collects up to max entries at offsets >= from. Below the trim
+// point only the pinned entries remain; the read returns those and then
+// continues from the oldest retained segment. Caller holds mu.
+func (s *Server) readLocked(st *logState, from uint64, max int) ReadReply {
+	var reply ReadReply
+	if from < st.trimmed {
+		for _, e := range st.pinned[st.pinnedBelow(from):st.pinnedBelow(st.trimmed)] {
+			if len(reply.Entries) == max {
+				reply.Next = e.Offset
+				return reply
+			}
+			reply.Entries = append(reply.Entries, e)
+		}
+		from = st.trimmed
+	}
+	reply.Next = from
+	if from >= st.next {
+		return reply
+	}
+	n := st.next - from
+	if room := uint64(max - len(reply.Entries)); n > room {
+		n = room
+	}
+	if reply.Entries == nil {
+		reply.Entries = make([]Entry, 0, n)
+	}
+	rel := from - st.segs[0].base
+	seg, off := int(rel/uint64(s.cfg.SegmentEntries)), int(rel%uint64(s.cfg.SegmentEntries))
+	for want := int(n); want > 0; seg, off = seg+1, 0 {
+		es := st.segs[seg].entries[off:]
+		if len(es) > want {
+			es = es[:want]
+		}
+		reply.Entries = append(reply.Entries, es...)
+		want -= len(es)
+	}
+	reply.Next = from + n
+	return reply
 }
 
 func (s *Server) handleTrim(args TrimArgs) (struct{}, error) {
@@ -318,29 +377,36 @@ func (s *Server) handleTrim(args TrimArgs) (struct{}, error) {
 	return struct{}{}, s.proposeTrim(args)
 }
 
-// applyTrimLocked is the deterministic trim body. Caller holds mu.
+// applyTrimLocked is the deterministic trim body: it drops every full
+// segment that lies wholly below before, keeping their pinned entries. A
+// partial last segment stays, so segment bases remain multiples of
+// SegmentEntries and a trimmer pacing itself by segment boundaries meets
+// the real ones. A trim below the current floor is a no-op. Caller holds
+// mu.
 func (s *Server) applyTrimLocked(stream string, before uint64) error {
 	st := s.streamLocked(stream)
 	if before > st.next {
 		return fmt.Errorf("sharedlog: trim %d beyond tail %d", before, st.next)
 	}
-	kept := st.segs[:0]
-	for _, seg := range st.segs {
-		if seg.base+uint64(len(seg.entries)) <= before {
-			continue // whole segment below the trim point
-		}
-		kept = append(kept, seg)
+	drop := 0
+	for drop < len(st.segs) && len(st.segs[drop].entries) == s.cfg.SegmentEntries &&
+		st.segs[drop].base+uint64(s.cfg.SegmentEntries) <= before {
+		drop++
 	}
-	st.segs = append([]*segment(nil), kept...)
-	// Trim drops whole segments only, so the true floor is the first
-	// retained segment's base (or before itself when nothing remains).
-	floor := before
-	if len(st.segs) > 0 && st.segs[0].base < floor {
-		floor = st.segs[0].base
+	if drop == 0 {
+		return nil
 	}
-	if floor > st.trimmed {
-		st.trimmed = floor
+	s.retained -= st.retained()
+	// Copy the survivors so the dropped segments are not kept reachable
+	// through the old backing array.
+	st.segs = append([]*segment(nil), st.segs[drop:]...)
+	if len(st.segs) > 0 {
+		st.trimmed = st.segs[0].base
+	} else {
+		st.trimmed = st.next // every segment was full and below before
 	}
+	s.retained += st.retained()
+	logRetained.Set(s.retained)
 	return nil
 }
 
@@ -348,6 +414,15 @@ func (s *Server) handleTail(args TailArgs) (TailReply, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return TailReply{Next: s.streamLocked(args.Stream).next}, nil
+}
+
+// Bounds reports a stream's trim point and next offset: the stream holds
+// every entry in [trimmed, next) plus its pinned entries below trimmed.
+func (s *Server) Bounds(stream string) (trimmed, next uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := s.streamLocked(stream)
+	return st.trimmed, st.next
 }
 
 // Client is a typed connection to the shared log, bound to one stream
@@ -377,8 +452,19 @@ func (c *Client) Stream(name string) *Client {
 
 // Append writes the batch, returning the first assigned offset.
 func (c *Client) Append(entries ...[]byte) (uint64, error) {
+	return c.append(false, entries)
+}
+
+// AppendPinned is Append for entries that must survive every later Trim:
+// a Read from below the trim point still returns them.
+func (c *Client) AppendPinned(entries ...[]byte) (uint64, error) {
+	return c.append(true, entries)
+}
+
+func (c *Client) append(pin bool, entries [][]byte) (uint64, error) {
 	var reply AppendReply
-	if err := c.rc.Call(0, "Append", AppendArgs{Stream: c.stream, Entries: entries}, &reply, rpc.DefaultCallTimeout); err != nil {
+	args := AppendArgs{Stream: c.stream, Pin: pin, Entries: entries}
+	if err := c.rc.Call(0, "Append", args, &reply, rpc.DefaultCallTimeout); err != nil {
 		return 0, err
 	}
 	return reply.First, nil
@@ -394,7 +480,8 @@ func (c *Client) Read(from uint64, max int, wait time.Duration) ([]Entry, uint64
 	return reply.Entries, reply.Next, nil
 }
 
-// Trim discards entries below before.
+// Trim discards the unpinned entries below before, in whole segments. A
+// point below an earlier trim is a no-op; one past the tail is an error.
 func (c *Client) Trim(before uint64) error {
 	return c.rc.Call(0, "Trim", TrimArgs{Stream: c.stream, Before: before}, nil, rpc.DefaultCallTimeout)
 }
@@ -411,33 +498,3 @@ func (c *Client) Tail() (uint64, error) {
 // Close tears down the connection; an in-flight read wait fails with
 // rsm.ErrClientClosed.
 func (c *Client) Close() error { return c.rc.Close() }
-
-// Subscribe starts a background reader that calls fn for every entry from
-// offset from onward, in order, until stop is closed or the log dies. It
-// opens its own connection so long-polls never block other calls.
-func Subscribe(network transport.Network, addr string, from uint64, stop <-chan struct{}, fn func(Entry)) error {
-	c, err := DialClient(network, addr)
-	if err != nil {
-		return err
-	}
-	go func() {
-		defer c.Close()
-		next := from
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			entries, n, err := c.Read(next, 1024, time.Second)
-			if err != nil {
-				return
-			}
-			for _, e := range entries {
-				fn(e)
-			}
-			next = n
-		}
-	}()
-	return nil
-}

@@ -79,10 +79,11 @@ gate_telemetry() {
 
 # migrate race-tests the online-resize path end to end: the migrate
 # package's planner/mover units plus the cluster join/drain/AA+EC-floor
-# scenarios under client load.
+# scenarios under client load, the floor record included once the shared
+# log has trimmed past it.
 gate_migrate() {
 	$GO test -race ./internal/migrate/...
-	$GO test -race -run 'TestJoinNodeUnderLoad|TestDrainNodeUnderLoad|TestJoinNodeAAEC' ./internal/cluster/
+	$GO test -race -run 'TestJoinNodeUnderLoad|TestDrainNodeUnderLoad|TestJoinNodeAAEC|TestAAECFloorRecordSurvivesTrim' ./internal/cluster/
 }
 
 # nemesis race-tests the fault plane end to end: the faultnet fabric and
@@ -94,13 +95,15 @@ gate_nemesis() {
 }
 
 # crash race-tests the storage fault story end to end: the WAL and faultfs
-# units, the durable ht/lsm/applog engine recovery suites, and the cluster
-# crash-restart/incremental-rejoin scenarios.
+# units, the durable ht/lsm/applog engine recovery suites, the cluster
+# crash-restart/incremental-rejoin scenarios, and the AA+EC shared-log
+# trim scenarios (a bounded log under sustained writes; a restarted or
+# promoted replica replaying a stream trimmed past what it holds).
 gate_crash() {
 	$GO test -race ./internal/store/wal/... ./internal/store/faultfs/...
 	$GO test -race -run 'Durable|Crash|Torn|WAL|Recover|Snapshot|Persist|CleanClose' \
 		./internal/store/ht/ ./internal/store/lsm/ ./internal/store/applog/
-	$GO test -race -run 'TestCrashRestart|TestRejoin' ./internal/cluster/
+	$GO test -race -run 'TestCrashRestart|TestRejoin|TestAAECLogStaysBounded|TestCrashRestartAAECTrimmed' ./internal/cluster/
 }
 
 # wirespeed race-tests the direct-read data path end to end: the multi-op
@@ -118,15 +121,16 @@ gate_wirespeed() {
 # rsm race-tests the replicated control plane end to end: the Raft-style
 # core (election, replication, persistence, snapshots — fuzz seeds
 # included) and its leader-following group client, the replicated
-# coordinator/DLM/sequencer services with their Close-aborts-a-long-poll
-# contract, and the cluster control-plane nemesis suites (leader kill and
-# partition under MS+SC load, checked for zero acked-write loss and
-# linearizability). The apply path must stay allocation-free
-# (TestApplyZeroAlloc).
+# coordinator/DLM services with their Close-aborts-a-long-poll contract,
+# the whole shared-log package (sequencer replication, the trim protocol
+# in standalone and replicated mode, payload fuzz seeds), and the cluster
+# control-plane nemesis suites (leader kill and partition under MS+SC
+# load, checked for zero acked-write loss and linearizability). The apply
+# path must stay allocation-free (TestApplyZeroAlloc).
 gate_rsm() {
-	$GO test -race ./internal/rsm/...
+	$GO test -race ./internal/rsm/... ./internal/sharedlog/...
 	$GO test -race -run 'Replicated|Sequencer|Follower|TestLockTableClock|TestTakeDeltaCap|TestCloseAborts' \
-		./internal/coordinator/ ./internal/dlm/ ./internal/sharedlog/
+		./internal/coordinator/ ./internal/dlm/
 	$GO test -race -run 'TestControlPlane' ./internal/cluster/
 	$GO test -run TestApplyZeroAlloc ./internal/rsm/
 }
